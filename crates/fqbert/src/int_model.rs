@@ -7,9 +7,14 @@
 //!
 //! * weights are int4/int8 codes, activations int8 codes, biases int32;
 //! * every matrix multiply accumulates in int32 and is requantized back to
-//!   int8 with a fixed-point [`Requantizer`] (Eq. 5);
-//! * softmax uses the 256-entry [`SoftmaxLut`] with max-subtraction;
-//! * `Add & LN` uses the fixed-point [`QuantizedLayerNorm`];
+//!   int8 with a fixed-point [`Requantizer`] (Eq. 5). All of them — the six
+//!   projections and both attention products, Q·Kᵀ and Attn·V — run on the
+//!   packed SIMD GEMM of [`fqbert_tensor::gemm`] with the requantization
+//!   fused into its epilogue, as the paper runs them on one PE array;
+//! * softmax uses the 256-entry [`SoftmaxLut`] with max-subtraction, and
+//!   feeds its `u8` probability codes straight into the Attn·V GEMM;
+//! * `Add & LN` uses the fixed-point [`QuantizedLayerNorm`], with its scale
+//!   constants folded once when the layer is built;
 //! * GELU uses a 256-entry int8→int8 lookup table (the paper fuses it with
 //!   FFN1; a table is the standard HLS realisation).
 //!
@@ -19,9 +24,13 @@
 use crate::{FqBertError, Result};
 use fqbert_bert::BertConfig;
 use fqbert_quant::{
-    quantize_bias, LayerBits, QuantParams, QuantizedLayerNorm, Requantizer, SoftmaxLut,
+    quantize_bias, LayerBits, QuantParams, QuantizedLayerNorm, Requantizer, ResidualScales,
+    SoftmaxLut,
 };
-use fqbert_tensor::gemm::{gemm_i8_requant, GemmScratch, PackedWeights, RequantParams, MAX_K};
+use fqbert_tensor::gemm::{
+    attention_head_into, gemm_i8_requant, GemmScratch, PackedWeights, RequantParams, StridedRows,
+    StridedRowsMut, MAX_K,
+};
 use fqbert_tensor::ops::{argmax_slice, gelu_scalar};
 use fqbert_tensor::{unpack_i4, IntTensor, Tensor};
 use std::sync::{Arc, OnceLock};
@@ -103,6 +112,15 @@ fn once_filled<T>(value: T) -> Arc<OnceLock<T>> {
     let cell = OnceLock::new();
     let _ = cell.set(value);
     Arc::new(cell)
+}
+
+/// The fused-GEMM-epilogue form of `requant`, clamped to int8 codes.
+fn requant_params(requant: &Requantizer) -> RequantParams {
+    RequantParams {
+        multiplier: requant.multiplier(),
+        shift: requant.shift(),
+        clamp: requant.out_max().min(127),
+    }
 }
 
 /// Builds the GEMM panels for `weight`: direct-compute nibble panels for
@@ -420,16 +438,11 @@ impl IntLinear {
         x: &IntTensor<i8>,
         scratch: &mut GemmScratch,
     ) -> Result<IntTensor<i8>> {
-        let params = RequantParams {
-            multiplier: self.requant.multiplier(),
-            shift: self.requant.shift(),
-            clamp: self.requant.out_max().min(127),
-        };
         let out = gemm_i8_requant(
             x,
             self.packed_panels(),
             self.bias.as_slice(),
-            params,
+            requant_params(&self.requant),
             scratch,
         )?;
         Ok(out)
@@ -530,6 +543,10 @@ pub struct IntEncoderLayer {
     context_requant: Requantizer,
     attn_layer_norm: QuantizedLayerNorm,
     ffn_layer_norm: QuantizedLayerNorm,
+    /// `input`/`attn_output` → `layer_norm` scales of the attention Add&LN.
+    attn_ln_scales: ResidualScales,
+    /// `layer_norm`/`ffn_output` → `layer_norm` scales of the FFN Add&LN.
+    ffn_ln_scales: ResidualScales,
     heads: usize,
     input_scale: f32,
     q_scale: f32,
@@ -564,6 +581,23 @@ pub struct LayerScales {
     pub ffn_hidden: f32,
     /// Scale of the FFN output projection.
     pub ffn_output: f32,
+}
+
+/// Folds the scales of the layer's two `Add & LN` blocks, rejecting any of
+/// the four involved (`input`, `attn_output`, `layer_norm`, `ffn_output`)
+/// that is not positive and finite — otherwise such a layer would build and
+/// then fail every forward pass.
+// fqlint::allow(float-escape): construction-time boundary — the float
+// scales are validated and folded into fixed-point constants once.
+fn residual_scales(scales: &LayerScales) -> Result<(ResidualScales, ResidualScales)> {
+    let fold = |a: f32, b: f32, block: &str| {
+        ResidualScales::new(a, b, scales.layer_norm)
+            .map_err(|e| FqBertError::InvalidArgument(format!("{block} Add&LN scales: {e}")))
+    };
+    Ok((
+        fold(scales.input, scales.attn_output, "attention")?,
+        fold(scales.layer_norm, scales.ffn_output, "FFN")?,
+    ))
 }
 
 impl IntEncoderLayer {
@@ -617,6 +651,7 @@ impl IntEncoderLayer {
         layer_norm_eps: f32,
     ) -> Result<Self> {
         bits.validate().map_err(FqBertError::InvalidArgument)?;
+        let (attn_ln_scales, ffn_ln_scales) = residual_scales(scales)?;
         let clip = |w: &Tensor, weight_bits: u32| -> Result<Option<f32>> {
             if tune_clip {
                 Ok(Some(
@@ -711,6 +746,8 @@ impl IntEncoderLayer {
             context_requant,
             attn_layer_norm,
             ffn_layer_norm,
+            attn_ln_scales,
+            ffn_ln_scales,
             heads,
             input_scale: scales.input,
             q_scale: scales.q,
@@ -732,7 +769,8 @@ impl IntEncoderLayer {
     ///
     /// # Errors
     ///
-    /// Returns an error if a scale is invalid.
+    /// Returns an error if a scale is invalid, including an `Add & LN` scale
+    /// that is not positive and finite.
     // fqlint::allow(float-escape): load-time boundary — reassembles the
     // layer from stored codes and float scale metadata.
     #[allow(clippy::too_many_arguments)]
@@ -754,6 +792,7 @@ impl IntEncoderLayer {
                 "heads and head_dim must be non-zero".to_string(),
             ));
         }
+        let (attn_ln_scales, ffn_ln_scales) = residual_scales(scales)?;
         let gelu = IntGelu::new(scales.ffn_hidden, scales.ffn_hidden);
         let score_effective = f64::from(scales.scores)
             / (f64::from(scales.q) * f64::from(scales.k) * (head_dim as f64).sqrt());
@@ -774,6 +813,8 @@ impl IntEncoderLayer {
             context_requant,
             attn_layer_norm,
             ffn_layer_norm,
+            attn_ln_scales,
+            ffn_ln_scales,
             heads,
             input_scale: scales.input,
             q_scale: scales.q,
@@ -883,10 +924,20 @@ impl IntEncoderLayer {
     ///
     /// The linear projections (Q/K/V, attention output, both FFN matrices)
     /// run as single blocked integer GEMMs over the whole pack — the
-    /// batching win — while attention and `Add & LN` are applied per
-    /// sequence. All six projections share `scratch`, which the engine also
-    /// reuses across every encoder layer of a forward pass. For a single
-    /// segment this is bit-identical to [`IntEncoderLayer::forward`].
+    /// batching win. Attention runs per (sequence, head) on the same packed
+    /// SIMD kernels ([`attention_head_into`]): `K_hᵀ` and `V_h` are packed
+    /// per call straight from the projection outputs through strided views,
+    /// the score and context requantizations are fused into the GEMM
+    /// epilogue, and the softmax's `u8` probability codes are the Attn·V
+    /// GEMM's activation operand. `Add & LN` runs row by row through
+    /// [`QuantizedLayerNorm::apply_residual_into`] with the scale constants
+    /// folded at construction, writing each row in place.
+    ///
+    /// Every GEMM of the layer, and the attention's score, probability and
+    /// panel buffers, share `scratch`, which the engine also reuses across
+    /// every encoder layer of a forward pass. Each sequence's attention sees
+    /// only its own rows, so for a single segment this is bit-identical to
+    /// [`IntEncoderLayer::forward`].
     ///
     /// # Errors
     ///
@@ -921,37 +972,31 @@ impl IntEncoderLayer {
         let k = self.key.forward_with_scratch(x, scratch)?;
         let v = self.value.forward_with_scratch(x, scratch)?;
 
-        // Per-sequence, per-head scaled dot-product attention.
+        // Per-sequence, per-head scaled dot-product attention, written
+        // straight into the head's columns of the context.
+        let score = requant_params(&self.score_requant);
+        let context_params = requant_params(&self.context_requant);
         let mut context = IntTensor::<i8>::zeros(&[total, hidden]);
         let mut start = 0usize;
         for &seq in seq_lens {
-            let end = start + seq;
             for h in 0..self.heads {
-                let lo = h * head_dim;
-                let hi = lo + head_dim;
-                let qh = slice_block_i8(&q, start, end, lo, hi);
-                let kh = slice_block_i8(&k, start, end, lo, hi);
-                let vh = slice_block_i8(&v, start, end, lo, hi);
-                // scores[i][j] = Σ_d q[i][d]·k[j][d], then requantize.
-                let score_acc = qh.matmul_transposed_i32(&kh)?;
-                let mut scores = vec![0i32; seq * seq];
-                for (idx, &acc) in score_acc.as_slice().iter().enumerate() {
-                    scores[idx] = self.score_requant.apply(i64::from(acc));
-                }
-                let probs = self.softmax.apply_matrix(&scores, seq);
-                // context_h = probs · V_h, requantized back to the V scale.
-                for i in 0..seq {
-                    for d in 0..head_dim {
-                        let mut acc: i64 = 0;
-                        for j in 0..seq {
-                            acc += i64::from(probs[i * seq + j]) * i64::from(vh.row(j)[d]);
-                        }
-                        let code = self.context_requant.apply(acc).clamp(-127, 127) as i8;
-                        context.as_mut_slice()[(start + i) * hidden + lo + d] = code;
-                    }
-                }
+                let at = start * hidden + h * head_dim;
+                let [qh, kh, vh] = [&q, &k, &v]
+                    .map(|m| StridedRows::new(&m.as_slice()[at..], seq, head_dim, hidden));
+                let out =
+                    StridedRowsMut::new(&mut context.as_mut_slice()[at..], seq, head_dim, hidden)?;
+                attention_head_into(
+                    qh?,
+                    kh?,
+                    vh?,
+                    score,
+                    |scores, probs| self.softmax.apply_row_into(scores, probs),
+                    context_params,
+                    scratch,
+                    out,
+                )?;
             }
-            start = end;
+            start += seq;
         }
 
         let attn_out = self.attn_output.forward_with_scratch(&context, scratch)?;
@@ -959,14 +1004,12 @@ impl IntEncoderLayer {
         // Add & LN (attention residual) — row-wise, so batch-oblivious.
         let mut normed = IntTensor::<i8>::zeros(&[total, hidden]);
         for i in 0..total {
-            let row = self.attn_layer_norm.apply_residual(
+            self.attn_layer_norm.apply_residual_into(
                 x.row(i),
-                self.input_scale,
                 attn_out.row(i),
-                self.attn_out_scale,
-                self.ln_out_scale,
+                &self.attn_ln_scales,
+                &mut normed.as_mut_slice()[i * hidden..(i + 1) * hidden],
             )?;
-            normed.as_mut_slice()[i * hidden..(i + 1) * hidden].copy_from_slice(&row);
         }
 
         // FFN with LUT GELU, again as packed GEMMs.
@@ -977,29 +1020,15 @@ impl IntEncoderLayer {
         // Add & LN (FFN residual).
         let mut out = IntTensor::<i8>::zeros(&[total, hidden]);
         for i in 0..total {
-            let row = self.ffn_layer_norm.apply_residual(
+            self.ffn_layer_norm.apply_residual_into(
                 normed.row(i),
-                self.ln_out_scale,
                 ffn_out.row(i),
-                self.ffn_out_scale,
-                self.ln_out_scale,
+                &self.ffn_ln_scales,
+                &mut out.as_mut_slice()[i * hidden..(i + 1) * hidden],
             )?;
-            out.as_mut_slice()[i * hidden..(i + 1) * hidden].copy_from_slice(&row);
         }
         Ok(out)
     }
-}
-
-/// Extracts the sub-matrix of rows `[r0, r1)` × columns `[c0, c1)` of an
-/// int8 matrix.
-fn slice_block_i8(x: &IntTensor<i8>, r0: usize, r1: usize, c0: usize, c1: usize) -> IntTensor<i8> {
-    let width = c1 - c0;
-    let mut out = IntTensor::<i8>::zeros(&[r1 - r0, width]);
-    for r in r0..r1 {
-        out.as_mut_slice()[(r - r0) * width..(r - r0 + 1) * width]
-            .copy_from_slice(&x.row(r)[c0..c1]);
-    }
-    out
 }
 
 /// The complete integer FQ-BERT model: float CPU-side embedding/classifier
@@ -1565,6 +1594,68 @@ mod tests {
     }
 
     #[test]
+    fn invalid_add_ln_scales_are_rejected_at_construction() {
+        let mut rng = RngSource::seed_from_u64(4);
+        let params = fqbert_bert::layers::EncoderLayerParams::new(&mut rng, 8, 16);
+        let good = LayerScales {
+            input: 16.0,
+            q: 16.0,
+            k: 16.0,
+            v: 16.0,
+            scores: 8.0,
+            attn_output: 16.0,
+            layer_norm: 16.0,
+            ffn_hidden: 16.0,
+            ffn_output: 16.0,
+        };
+        let layer = IntEncoderLayer::from_float(&params, 2, 4, 8, false, &good, 1e-5).unwrap();
+        for bad in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            let fields: [fn(&mut LayerScales) -> &mut f32; 4] = [
+                |s| &mut s.input,
+                |s| &mut s.attn_output,
+                |s| &mut s.layer_norm,
+                |s| &mut s.ffn_output,
+            ];
+            for (i, field) in fields.iter().enumerate() {
+                let mut scales = good;
+                *field(&mut scales) = bad;
+                let mixed = IntEncoderLayer::from_float_mixed(
+                    &params,
+                    2,
+                    4,
+                    &LayerBits::uniform(8),
+                    false,
+                    &scales,
+                    1e-5,
+                );
+                assert!(
+                    mixed.is_err(),
+                    "from_float_mixed accepted scale #{i} = {bad}"
+                );
+                let parts = IntEncoderLayer::from_quantized_parts(
+                    layer.query.clone(),
+                    layer.key.clone(),
+                    layer.value.clone(),
+                    layer.attn_output.clone(),
+                    layer.ffn1.clone(),
+                    layer.ffn2.clone(),
+                    2,
+                    4,
+                    &scales,
+                    layer.attn_layer_norm().clone(),
+                    layer.ffn_layer_norm().clone(),
+                );
+                match parts {
+                    Err(FqBertError::InvalidArgument(msg)) => {
+                        assert!(msg.contains("Add&LN"), "unexpected message: {msg}")
+                    }
+                    other => panic!("scale #{i} = {bad}: expected InvalidArgument, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_length_sequence_is_rejected_not_panicking() {
         let mut rng = RngSource::seed_from_u64(3);
         let layer = {
@@ -1598,16 +1689,5 @@ mod tests {
             }
             other => panic!("expected InvalidArgument, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn slice_block_helper() {
-        let x = IntTensor::<i8>::from_vec((0..12).map(|v| v as i8).collect(), &[3, 4]).unwrap();
-        let s = slice_block_i8(&x, 0, 3, 1, 3);
-        assert_eq!(s.dims(), &[3, 2]);
-        assert_eq!(s.as_slice(), &[1, 2, 5, 6, 9, 10]);
-        let b = slice_block_i8(&x, 1, 3, 0, 2);
-        assert_eq!(b.dims(), &[2, 2]);
-        assert_eq!(b.as_slice(), &[4, 5, 8, 9]);
     }
 }

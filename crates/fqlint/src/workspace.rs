@@ -4,7 +4,7 @@
 //!
 //! * **R1 `float-escape`** runs on the designated integer-datapath
 //!   modules — the int forward path, the integer GEMM and nibble packing,
-//!   and the requantize/softmax-LUT apply paths.
+//!   and the requantize/softmax-LUT/`Add & LN` apply paths.
 //! * **R2 `narrowing-cast`** runs on all library code of the datapath
 //!   crates (`crates/tensor`, `crates/quant`).
 //! * **R3 `panic-path`** and **R4 `lock-hygiene`** run on all library code
@@ -25,10 +25,11 @@ use std::path::{Path, PathBuf};
 /// Files R1 float-escape applies to (workspace-relative, `/`-separated).
 /// The SIMD kernel modules under `gemm/kernels/` are included: they are
 /// the innermost integer datapath and must never touch a float.
-const FLOAT_ESCAPE_FILES: [&str; 5] = [
+const FLOAT_ESCAPE_FILES: [&str; 6] = [
     "crates/fqbert/src/int_model.rs",
     "crates/tensor/src/gemm/mod.rs",
     "crates/tensor/src/pack4.rs",
+    "crates/quant/src/layernorm_q.rs",
     "crates/quant/src/requant.rs",
     "crates/quant/src/softmax_lut.rs",
 ];

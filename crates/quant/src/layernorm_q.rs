@@ -22,12 +22,67 @@ const INTERNAL_FRAC_BITS: u32 = 16;
 /// Fractional bits used to store the 8-bit gamma/beta parameters.
 const PARAM_FRAC_BITS: u32 = 6;
 
+/// The three scales of one `Add & LN` block — residual input `a`, sub-layer
+/// output `b` and the output — folded once into the fixed-point constants
+/// the LN core multiplies by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidualScales {
+    /// Raw `1 / scale_a` at [`INTERNAL_FRAC_BITS`].
+    inv_a: i32,
+    /// Raw `1 / scale_b` at [`INTERNAL_FRAC_BITS`].
+    inv_b: i32,
+    /// `out_scale` at [`INTERNAL_FRAC_BITS`].
+    out: Fixed,
+}
+
+impl ResidualScales {
+    /// Validates and folds the scales (values = code / scale) of the two
+    /// int8 inputs and of the int8 output.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidScale`] for a scale that is not a
+    /// positive finite number.
+    // fqlint::allow(float-escape): construction-time boundary — the float
+    // scales are checked and folded into fixed-point constants once; the
+    // per-row routine that uses them is integer-only.
+    pub fn new(scale_a: f32, scale_b: f32, out_scale: f32) -> Result<Self> {
+        for &s in &[scale_a, scale_b, out_scale] {
+            if !(s.is_finite() && s > 0.0) {
+                return Err(QuantError::InvalidScale(s));
+            }
+        }
+        Ok(Self {
+            inv_a: Fixed::from_f32(1.0 / scale_a, INTERNAL_FRAC_BITS).raw(),
+            inv_b: Fixed::from_f32(1.0 / scale_b, INTERNAL_FRAC_BITS).raw(),
+            out: Fixed::from_f32(out_scale, INTERNAL_FRAC_BITS),
+        })
+    }
+}
+
 /// A layer-norm layer whose parameters and arithmetic are fully quantized.
+// fqlint::allow(float-escape): `eps` is calibration metadata kept for
+// serialization; the row routine reads its fixed-point fold `eps_fixed`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedLayerNorm {
     gamma: Vec<i8>,
     beta: Vec<i8>,
     eps: f32,
+    /// `max(eps, 2⁻¹⁶)` at [`INTERNAL_FRAC_BITS`], folded at construction.
+    eps_fixed: Fixed,
+}
+
+/// `x · inv` on the internal grid, for an int8 code `x` and a raw
+/// [`INTERNAL_FRAC_BITS`] constant `inv`. This is one exact multiply:
+/// `Fixed::from_raw(x, 0).rescale(16).mul(inv)` forms `x·2¹⁶·inv`, whose
+/// rounding shift by 16 drops only zero bits, so it equals
+/// `clamp_i32(x · inv)`.
+fn scale_code(x: i8, inv: i32) -> Fixed {
+    let product = i64::from(x) * i64::from(inv);
+    Fixed::from_raw(
+        product.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32,
+        INTERNAL_FRAC_BITS,
+    )
 }
 
 impl QuantizedLayerNorm {
@@ -38,6 +93,8 @@ impl QuantizedLayerNorm {
     ///
     /// Returns [`QuantError::InvalidArgument`] if the parameter vectors have
     /// different lengths or are empty.
+    // fqlint::allow(float-escape): construction-time boundary — float
+    // parameters are quantized to 8-bit fixed-point codes once.
     pub fn from_float(gamma: &[f32], beta: &[f32], eps: f32) -> Result<Self> {
         if gamma.len() != beta.len() || gamma.is_empty() {
             return Err(QuantError::InvalidArgument(format!(
@@ -53,11 +110,11 @@ impl QuantizedLayerNorm {
                 .round()
                 .clamp(i8::MIN as f32, i8::MAX as f32) as i8
         };
-        Ok(Self {
-            gamma: gamma.iter().copied().map(quantize).collect(),
-            beta: beta.iter().copied().map(quantize).collect(),
+        Self::from_codes(
+            gamma.iter().copied().map(quantize).collect(),
+            beta.iter().copied().map(quantize).collect(),
             eps,
-        })
+        )
     }
 
     /// Reassembles a layer norm from stored parameter codes (the inverse of
@@ -68,6 +125,8 @@ impl QuantizedLayerNorm {
     ///
     /// Returns [`QuantError::InvalidArgument`] if the code vectors have
     /// different lengths or are empty.
+    // fqlint::allow(float-escape): load-time boundary — folds the float
+    // epsilon into its fixed-point constant once.
     pub fn from_codes(gamma: Vec<i8>, beta: Vec<i8>, eps: f32) -> Result<Self> {
         if gamma.len() != beta.len() || gamma.is_empty() {
             return Err(QuantError::InvalidArgument(format!(
@@ -76,10 +135,21 @@ impl QuantizedLayerNorm {
                 beta.len()
             )));
         }
-        Ok(Self { gamma, beta, eps })
+        let eps_fixed = Fixed::from_f32(
+            eps.max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32),
+            INTERNAL_FRAC_BITS,
+        );
+        Ok(Self {
+            gamma,
+            beta,
+            eps,
+            eps_fixed,
+        })
     }
 
     /// The epsilon added to the variance.
+    // fqlint::allow(float-escape): metadata accessor for artifact
+    // serialization; not on the per-row path.
     pub fn eps(&self) -> f32 {
         self.eps
     }
@@ -99,37 +169,98 @@ impl QuantizedLayerNorm {
         &self.beta
     }
 
-    /// Dequantized gamma values (for comparison against the float reference).
-    pub fn gamma_f32(&self) -> Vec<f32> {
-        // fqlint::allow(narrowing-cast): `PARAM_FRAC_BITS` is a bit-shift
-        // amount < 32.
-        self.gamma
-            .iter()
-            .map(|&g| g as f32 / f32::powi(2.0, PARAM_FRAC_BITS as i32))
-            .collect()
-    }
-
-    /// Dequantized beta values.
-    pub fn beta_f32(&self) -> Vec<f32> {
-        // fqlint::allow(narrowing-cast): `PARAM_FRAC_BITS` is a bit-shift
-        // amount < 32.
-        self.beta
-            .iter()
-            .map(|&b| b as f32 / f32::powi(2.0, PARAM_FRAC_BITS as i32))
-            .collect()
-    }
-
-    /// Runs the 3-stage `Add & LN` pipeline on two quantized input rows.
+    /// Runs the 3-stage `Add & LN` pipeline on two quantized input rows,
+    /// writing the int8 output codes into `out` — integer-only and
+    /// allocation-free. `a` and `b` are int8 codes (values = code / scale)
+    /// at the scales folded into `scales`.
     ///
-    /// `a` and `b` are int8 codes with scales `scale_a` / `scale_b`
-    /// (values = code / scale). The output is requantized to int8 codes with
-    /// `out_scale` levels per unit.
+    /// The stages stream over the inputs three times instead of buffering
+    /// the sum: stage 1 accumulates the mean of `a/s_a + b/s_b`, stage 2
+    /// the variance around it, and stage 3 the element-wise
+    /// `gamma·(x - mean)/sqrt(var + eps) + beta` requantized to the output
+    /// scale. Recomputing the sum is two multiplies per element.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::InvalidArgument`] if the row lengths do not match
-    /// the parameter length, or [`QuantError::InvalidScale`] for non-positive
-    /// scales.
+    /// Returns [`QuantError::InvalidArgument`] if a row length does not
+    /// match the parameter length.
+    pub fn apply_residual_into(
+        &self,
+        a: &[i8],
+        b: &[i8],
+        scales: &ResidualScales,
+        out: &mut [i8],
+    ) -> Result<()> {
+        let hidden = self.hidden();
+        if a.len() != hidden || b.len() != hidden || out.len() != hidden {
+            return Err(QuantError::InvalidArgument(format!(
+                "rows of {} / {} / {} elements do not match hidden size {hidden}",
+                a.len(),
+                b.len(),
+                out.len()
+            )));
+        }
+        let n = hidden as i64;
+        let sum = |xa: i8, xb: i8| {
+            scale_code(xa, scales.inv_a).saturating_add(scale_code(xb, scales.inv_b))
+        };
+
+        // Stage 1: both operands on the shared internal grid, added, and
+        // the mean of the sum.
+        let total: i64 = a
+            .iter()
+            .zip(b)
+            .map(|(&xa, &xb)| i64::from(sum(xa, xb).raw()))
+            .sum();
+        // fqlint::allow(narrowing-cast): the mean of `i32`-ranged raw
+        // values is itself in `i32` range.
+        let mean = Fixed::from_raw((total / n) as i32, INTERNAL_FRAC_BITS);
+
+        // Stage 2: the variance, accumulated in a wide integer with 2·frac
+        // bits and renormalised once at the end.
+        let var_acc: i64 = a
+            .iter()
+            .zip(b)
+            .map(|(&xa, &xb)| {
+                let c = i64::from(sum(xa, xb).saturating_sub(mean).raw());
+                c * c
+            })
+            .sum();
+        let var_raw = (var_acc / n) >> INTERNAL_FRAC_BITS;
+        let var = Fixed::from_raw(
+            var_raw.clamp(0, i64::from(i32::MAX)) as i32,
+            INTERNAL_FRAC_BITS,
+        );
+        let inv_std = fixed_inv_sqrt(var.saturating_add(self.eps_fixed), 20);
+
+        // Stage 3: element-wise gamma/beta and output requantization.
+        let params = self.gamma.iter().zip(&self.beta);
+        for (((&xa, &xb), (&g, &bt)), o) in a.iter().zip(b).zip(params).zip(out.iter_mut()) {
+            let gamma = Fixed::from_raw(i32::from(g), PARAM_FRAC_BITS).rescale(INTERNAL_FRAC_BITS);
+            let beta = Fixed::from_raw(i32::from(bt), PARAM_FRAC_BITS).rescale(INTERNAL_FRAC_BITS);
+            let centered = sum(xa, xb).saturating_sub(mean);
+            let normalised = centered.mul(inv_std).mul(gamma).saturating_add(beta);
+            // Round the fixed-point value to the nearest integer code.
+            *o = normalised
+                .mul(scales.out)
+                .rescale(0)
+                .raw()
+                .clamp(i32::from(i8::MIN), i32::from(i8::MAX)) as i8;
+        }
+        Ok(())
+    }
+
+    /// [`QuantizedLayerNorm::apply_residual_into`] with float scales,
+    /// returning a new row: folds the scales, then runs the same integer
+    /// routine.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidScale`] for non-positive or non-finite
+    /// scales, or [`QuantError::InvalidArgument`] if the row lengths do not
+    /// match the parameter length.
+    // fqlint::allow(float-escape): compatibility wrapper — folds the float
+    // scales once per call, then delegates to the integer routine.
     pub fn apply_residual(
         &self,
         a: &[i8],
@@ -138,91 +269,10 @@ impl QuantizedLayerNorm {
         scale_b: f32,
         out_scale: f32,
     ) -> Result<Vec<i8>> {
-        if a.len() != self.hidden() || b.len() != self.hidden() {
-            return Err(QuantError::InvalidArgument(format!(
-                "input rows of {} / {} elements do not match hidden size {}",
-                a.len(),
-                b.len(),
-                self.hidden()
-            )));
-        }
-        for &s in &[scale_a, scale_b, out_scale] {
-            if !(s.is_finite() && s > 0.0) {
-                return Err(QuantError::InvalidScale(s));
-            }
-        }
-        let n = self.hidden() as i64;
-
-        // Stage 1: dequantize both operands onto the shared internal
-        // fixed-point grid, add them, and accumulate the mean.
-        let inv_a = Fixed::from_f32(1.0 / scale_a, INTERNAL_FRAC_BITS);
-        let inv_b = Fixed::from_f32(1.0 / scale_b, INTERNAL_FRAC_BITS);
-        let mut summed: Vec<Fixed> = Vec::with_capacity(self.hidden());
-        let mut total: i64 = 0;
-        for (&xa, &xb) in a.iter().zip(b.iter()) {
-            let va = Fixed::from_raw(i32::from(xa), 0)
-                .rescale(INTERNAL_FRAC_BITS)
-                .mul(inv_a);
-            let vb = Fixed::from_raw(i32::from(xb), 0)
-                .rescale(INTERNAL_FRAC_BITS)
-                .mul(inv_b);
-            let v = va.saturating_add(vb);
-            total += i64::from(v.raw());
-            summed.push(v);
-        }
-        // fqlint::allow(narrowing-cast): the mean of `i32`-ranged raw
-        // values is itself in `i32` range.
-        let mean = Fixed::from_raw((total / n) as i32, INTERNAL_FRAC_BITS);
-
-        // Stage 2: subtract the mean and accumulate the variance.
-        let mut centered: Vec<Fixed> = Vec::with_capacity(self.hidden());
-        let mut var_acc: i64 = 0;
-        for v in &summed {
-            let c = v.saturating_sub(mean);
-            // Accumulate (x-mean)^2 in a wide integer with 2*frac bits, then
-            // renormalise once at the end.
-            var_acc += i64::from(c.raw()) * i64::from(c.raw());
-            centered.push(c);
-        }
-        let var_raw = (var_acc / n) >> INTERNAL_FRAC_BITS;
-        let var = Fixed::from_raw(
-            var_raw.clamp(0, i64::from(i32::MAX)) as i32,
-            INTERNAL_FRAC_BITS,
-        );
-        let eps_fixed = Fixed::from_f32(
-            self.eps.max(1.0 / (1 << INTERNAL_FRAC_BITS) as f32),
-            INTERNAL_FRAC_BITS,
-        );
-        let inv_std = fixed_inv_sqrt(var.saturating_add(eps_fixed), 20);
-
-        // Stage 3: element-wise gamma/beta and output requantization.
-        let out_scale_fixed = Fixed::from_f32(out_scale, INTERNAL_FRAC_BITS);
-        let mut out = Vec::with_capacity(self.hidden());
-        for (i, c) in centered.iter().enumerate() {
-            let gamma = Fixed::from_raw(i32::from(self.gamma[i]), PARAM_FRAC_BITS)
-                .rescale(INTERNAL_FRAC_BITS);
-            let beta = Fixed::from_raw(i32::from(self.beta[i]), PARAM_FRAC_BITS)
-                .rescale(INTERNAL_FRAC_BITS);
-            let normalised = c.mul(inv_std).mul(gamma).saturating_add(beta);
-            let scaled = normalised.mul(out_scale_fixed);
-            // Round the fixed-point value to the nearest integer code.
-            let code = scaled
-                .rescale(0)
-                .raw()
-                .clamp(i8::MIN as i32, i8::MAX as i32) as i8;
-            out.push(code);
-        }
+        let scales = ResidualScales::new(scale_a, scale_b, out_scale)?;
+        let mut out = vec![0i8; self.hidden()];
+        self.apply_residual_into(a, b, &scales, &mut out)?;
         Ok(out)
-    }
-
-    /// Runs layer normalization on a single quantized row (no residual).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same errors as [`Self::apply_residual`].
-    pub fn apply(&self, x: &[i8], scale_x: f32, out_scale: f32) -> Result<Vec<i8>> {
-        let zeros = vec![0i8; x.len()];
-        self.apply_residual(x, scale_x, &zeros, 1.0, out_scale)
     }
 }
 
@@ -230,6 +280,13 @@ impl QuantizedLayerNorm {
 mod tests {
     use super::*;
     use fqbert_tensor::Tensor;
+
+    fn dequantize(codes: &[i8]) -> Vec<f32> {
+        codes
+            .iter()
+            .map(|&c| c as f32 / f32::powi(2.0, PARAM_FRAC_BITS as i32))
+            .collect()
+    }
 
     fn float_layer_norm(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32) -> Vec<f32> {
         let n = x.len() as f32;
@@ -247,10 +304,10 @@ mod tests {
         let gamma = vec![1.0f32, 0.5, -1.25, 2.0];
         let beta = vec![0.1f32, -0.3, 0.0, 1.5];
         let ln = QuantizedLayerNorm::from_float(&gamma, &beta, 1e-5).unwrap();
-        for (a, b) in gamma.iter().zip(ln.gamma_f32().iter()) {
+        for (a, b) in gamma.iter().zip(dequantize(ln.gamma_codes()).iter()) {
             assert!((a - b).abs() <= 1.0 / 32.0 + 1e-6);
         }
-        for (a, b) in beta.iter().zip(ln.beta_f32().iter()) {
+        for (a, b) in beta.iter().zip(dequantize(ln.beta_codes()).iter()) {
             assert!((a - b).abs() <= 1.0 / 32.0 + 1e-6);
         }
     }
@@ -290,7 +347,12 @@ mod tests {
             .zip(b_f.as_slice())
             .map(|(&x, &y)| x + y)
             .collect();
-        let reference = float_layer_norm(&sum, &ln.gamma_f32(), &ln.beta_f32(), 1e-5);
+        let reference = float_layer_norm(
+            &sum,
+            &dequantize(ln.gamma_codes()),
+            &dequantize(ln.beta_codes()),
+            1e-5,
+        );
         let mut max_err = 0.0f32;
         for (o, r) in out.iter().zip(reference.iter()) {
             let approx = *o as f32 / out_scale;
@@ -316,7 +378,8 @@ mod tests {
             .iter()
             .map(|&v| (v * scale_x).round() as i8)
             .collect();
-        let out = ln.apply(&x_q, scale_x, 32.0).unwrap();
+        let zeros = vec![0i8; hidden];
+        let out = ln.apply_residual(&x_q, scale_x, &zeros, 1.0, 32.0).unwrap();
         let vals =
             Tensor::from_vec(out.iter().map(|&c| c as f32 / 32.0).collect(), &[hidden]).unwrap();
         assert!(vals.mean().unwrap().abs() < 0.1);
@@ -327,9 +390,19 @@ mod tests {
     #[test]
     fn input_validation() {
         let ln = QuantizedLayerNorm::from_float(&[1.0, 1.0], &[0.0, 0.0], 1e-5).unwrap();
-        assert!(ln.apply(&[1, 2, 3], 1.0, 1.0).is_err());
-        assert!(ln.apply(&[1, 2], 0.0, 1.0).is_err());
-        assert!(ln.apply(&[1, 2], 1.0, -1.0).is_err());
+        assert!(ln
+            .apply_residual(&[1, 2, 3], 1.0, &[0; 3], 1.0, 1.0)
+            .is_err());
+        assert!(ln.apply_residual(&[1, 2], 0.0, &[0; 2], 1.0, 1.0).is_err());
+        assert!(ln.apply_residual(&[1, 2], 1.0, &[0; 2], 1.0, -1.0).is_err());
+        assert!(ln
+            .apply_residual(&[1, 2], 1.0, &[0; 2], f32::NAN, 1.0)
+            .is_err());
+        let scales = ResidualScales::new(1.0, 1.0, 1.0).unwrap();
+        assert!(ln
+            .apply_residual_into(&[1, 2], &[0; 2], &scales, &mut [0; 3])
+            .is_err());
+        assert!(ResidualScales::new(1.0, f32::INFINITY, 1.0).is_err());
         assert!(QuantizedLayerNorm::from_float(&[1.0], &[0.0, 0.0], 1e-5).is_err());
         assert!(QuantizedLayerNorm::from_float(&[], &[], 1e-5).is_err());
     }

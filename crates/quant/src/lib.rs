@@ -53,7 +53,7 @@ pub use bitwidth::{LayerBits, PartBits, QuantConfig, LAYER_SITES, LAYER_SITE_NAM
 pub use clip::tune_clip_threshold;
 pub use error::QuantError;
 pub use fixedpoint::Fixed;
-pub use layernorm_q::QuantizedLayerNorm;
+pub use layernorm_q::{QuantizedLayerNorm, ResidualScales};
 pub use observer::{EmaObserver, MinMaxObserver};
 pub use requant::Requantizer;
 pub use scheme::QuantParams;

@@ -103,32 +103,55 @@ impl SoftmaxLut {
         u32::from(self.table[idx])
     }
 
-    /// Applies the integer softmax to one row of quantized scores, returning
-    /// probabilities quantized to `out_levels` levels.
+    /// Applies the integer softmax to one row of quantized scores, writing
+    /// probabilities quantized to `out_levels` levels into `out` — the one
+    /// row routine behind [`SoftmaxLut::apply_row`],
+    /// [`SoftmaxLut::apply_matrix`] and the encoder's attention. Scores may
+    /// be `i8` codes (the attention path) or `i32`; probabilities may be
+    /// written as `u8` (every code is at most `out_levels ≤ 255`) or `i32`.
     ///
     /// The computation uses only integer comparisons, table lookups, adds and
     /// one integer division per element — the same operations as the
-    /// accelerator's Softmax Core.
-    pub fn apply_row(&self, scores: &[i32]) -> Vec<i32> {
-        if scores.is_empty() {
-            return Vec::new();
-        }
-        let max = scores.iter().copied().max().expect("non-empty row");
-        let numerators: Vec<u32> = scores
-            .iter()
-            .map(|&s| self.exp_lookup(i64::from(max) - i64::from(s)))
-            .collect();
-        let denom: u64 = numerators.iter().map(|&n| u64::from(n)).sum();
+    /// accelerator's Softmax Core — and allocates nothing: the numerators
+    /// are looked up twice (once for the denominator, once for the
+    /// division) instead of being buffered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `scores` differ in length.
+    pub fn apply_row_into<S, P>(&self, scores: &[S], out: &mut [P])
+    where
+        S: Copy + Into<i32>,
+        P: From<u8>,
+    {
+        assert_eq!(
+            scores.len(),
+            out.len(),
+            "softmax output row must match the score row"
+        );
+        let Some(max) = scores.iter().map(|&s| s.into()).max() else {
+            return;
+        };
+        let numerator = |s: S| self.exp_lookup(i64::from(max) - i64::from(s.into()));
+        let denom: u64 = scores.iter().map(|&s| u64::from(numerator(s))).sum();
         let denom = denom.max(1);
-        numerators
-            .iter()
-            .map(|&n| {
-                // Rounded integer division: (n * out_levels + denom/2) / denom.
-                // fqlint::allow(narrowing-cast): `n <= denom`, so the
-                // quotient is at most `out_levels`, which fits `i32`.
-                ((u64::from(n) * u64::from(self.out_levels) + denom / 2) / denom) as i32
-            })
-            .collect()
+        let levels = u64::from(self.out_levels);
+        for (&s, o) in scores.iter().zip(out) {
+            // Rounded integer division: (n * out_levels + denom/2) / denom.
+            let code = (u64::from(numerator(s)) * levels + denom / 2) / denom;
+            // fqlint::allow(narrowing-cast): `n <= denom`, so the quotient
+            // is at most `out_levels <= 255`, which fits `u8`.
+            *o = P::from(code as u8);
+        }
+    }
+
+    /// Applies the integer softmax to one row of quantized scores, returning
+    /// probabilities quantized to `out_levels` levels (see
+    /// [`SoftmaxLut::apply_row_into`]).
+    pub fn apply_row(&self, scores: &[i32]) -> Vec<i32> {
+        let mut out = vec![0i32; scores.len()];
+        self.apply_row_into(scores, &mut out);
+        out
     }
 
     /// Applies the integer softmax to every row of a matrix stored row-major.
@@ -147,9 +170,11 @@ impl SoftmaxLut {
             return Vec::new();
         }
         assert!(data.len().is_multiple_of(cols), "data must be rectangular");
-        data.chunks(cols)
-            .flat_map(|row| self.apply_row(row))
-            .collect()
+        let mut out = vec![0i32; data.len()];
+        for (row, o) in data.chunks(cols).zip(out.chunks_mut(cols)) {
+            self.apply_row_into(row, o);
+        }
+        out
     }
 
     /// Dequantizes an output code back to a probability in `[0, 1]`.

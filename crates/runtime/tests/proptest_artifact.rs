@@ -6,9 +6,12 @@ use fqbert_bert::{BertConfig, BertModel};
 use fqbert_core::{convert, QatHook};
 use fqbert_nlp::{Example, TaskKind, Tokenizer, Vocab};
 use fqbert_quant::QuantConfig;
-use fqbert_runtime::{EncodedBatch, InferenceBackend, IntBackend, ModelArtifact};
+use fqbert_runtime::artifact::crc32;
+use fqbert_runtime::{
+    EncodedBatch, InferenceBackend, IntBackend, ModelArtifact, RuntimeError, TensorCache,
+};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const MAX_LEN: usize = 12;
 
@@ -259,4 +262,57 @@ fn file_round_trip_via_engine() {
         .expect("classify");
     assert_eq!(out.len(), 2);
     std::fs::remove_file(&path).ok();
+}
+
+/// A CRC-valid artifact whose first layer carries an `Add & LN` output
+/// scale of 0, -1 or NaN is refused at load — on the eager and the
+/// zero-copy path — instead of loading and then failing every request.
+#[test]
+fn invalid_add_ln_scale_is_rejected_at_load() {
+    let (original, bytes) = artifact();
+    let s = original.model.layers[0].scales();
+    // The v2 layer record starts with its nine activation scales.
+    let record: Vec<u8> = [
+        s.input,
+        s.q,
+        s.k,
+        s.v,
+        s.scores,
+        s.attn_output,
+        s.layer_norm,
+        s.ffn_hidden,
+        s.ffn_output,
+    ]
+    .iter()
+    .flat_map(|v| v.to_le_bytes())
+    .collect();
+    let at = bytes
+        .windows(record.len())
+        .position(|w| w == record)
+        .expect("layer 0 scales in the payload");
+    let layer_norm_at = at + 6 * 4;
+    for bad in [0.0f32, -1.0, f32::NAN] {
+        let mut hostile = bytes.clone();
+        hostile[layer_norm_at..layer_norm_at + 4].copy_from_slice(&bad.to_le_bytes());
+        // Re-seal the checksum so only the scale check can catch it.
+        let crc_at = hostile.len() - 4;
+        let crc = crc32(&hostile[8..crc_at]);
+        hostile[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        match ModelArtifact::from_bytes(&hostile) {
+            Err(RuntimeError::Artifact(msg)) => {
+                assert!(
+                    msg.contains("Add&LN"),
+                    "layer_norm {bad}: unexpected message {msg}"
+                )
+            }
+            Err(other) => panic!("layer_norm {bad}: expected an artifact error, got {other:?}"),
+            Ok(_) => panic!("layer_norm {bad}: artifact loaded"),
+        }
+        let shared: Arc<[u8]> = hostile.into();
+        let zero_copy = ModelArtifact::from_shared_bytes(&shared, &mut TensorCache::new());
+        assert!(
+            matches!(zero_copy, Err(RuntimeError::Artifact(_))),
+            "layer_norm {bad}: zero-copy load must be refused too"
+        );
+    }
 }

@@ -1,6 +1,8 @@
 //! Blocked, cache-friendly int8 GEMM with packed weights, a fused epilogue
 //! and runtime-dispatched SIMD micro-kernels — the software hot path behind
-//! every integer linear projection (Q/K/V, attention output, FFN1/FFN2).
+//! every integer matrix product of the encoder: the six linear projections
+//! (Q/K/V, attention output, FFN1/FFN2) and both attention products, Q·Kᵀ
+//! and Attn·V ([`attention_head_into`]).
 //!
 //! # Packed layout
 //!
@@ -45,10 +47,21 @@
 //! panels without ever round-tripping through unpacked `i8` codes or `i16`
 //! widening.
 //!
+//! Attention's right-hand operands are activations, packed **per call**
+//! into the same wide panels by two packers that read strided rows in
+//! place: [`PackedWeights::repack_rows`] takes source rows as `W`'s rows
+//! (one head's `V_h`) and [`PackedWeights::repack_columns`] takes them as
+//! `W`'s columns (one head's `K_hᵀ`, with no transposed copy).
+//!
 //! Activations are packed per call into row blocks of height [`MR`] with the
 //! same k-pair interleave (`a[pp][2r + t] = X[r0 + r][2pp + t]`), inside a
 //! caller-provided [`GemmScratch`] that is reused across layers instead of
-//! re-allocated per projection. Because every panel row is a fixed-size
+//! re-allocated per projection. The left-hand operand is read through a
+//! [`StridedRows`] view and may be `i8` activation codes or `u8` codes (the
+//! softmax probabilities, `0..=255`); both widen exactly to the kernels'
+//! `i16`. Results can be written through a [`StridedRowsMut`] view, so a
+//! head's context lands directly in its columns of the context matrix.
+//! Because every panel row is a fixed-size
 //! array and odd-`k` tails are zero-padded at pack time, the micro-kernels
 //! iterate full tiles only — no partial-panel or remainder special cases,
 //! and no fallible slice chunking in the hot loop.
@@ -71,15 +84,20 @@
 //! product while these kernels accumulate without saturation; for `i8`
 //! operands the two are nevertheless bit-identical because `|a·w| ≤ 128²`
 //! bounds every partial sum by `k · 128²`, which stays inside `i32` for all
-//! `k ≤` [`MAX_K`] — packing rejects larger `k`. Absent overflow, integer
-//! addition is exact and associative, so the SIMD kernels' lane-parallel
-//! accumulation produces the same bits as the sequential reduction. The
-//! property tests in `tests/proptest_gemm.rs` pin every available kernel to
-//! the naive loop across random shapes (including empty matrices,
-//! non-multiple-of-block dimensions and int4/int2 nibble panels).
+//! `k ≤` [`MAX_K`] — packing rejects larger `k`. A `u8` operand multiplies
+//! by up to `255 · 128` per step, so its bound is half as deep: the driver
+//! rejects `k > MAX_K / 2` for it ([`ActCode::MAX_DEPTH`]). Absent overflow,
+//! integer addition is exact and associative, so the SIMD kernels'
+//! lane-parallel accumulation produces the same bits as the sequential
+//! reduction, whichever operand type and whatever strides the views use.
+//! The property tests in `tests/proptest_gemm.rs` pin every available
+//! kernel to the naive loop across random shapes (including empty
+//! matrices, non-multiple-of-block dimensions, int4/int2 nibble panels,
+//! `u8` operands and strided input/output views).
 
 pub mod kernels;
 
+use crate::itensor::IntElement;
 use crate::{IntTensor, Result, TensorError};
 
 /// Width (output columns) of one packed weight panel and of the micro-kernel
@@ -128,6 +146,18 @@ pub struct PackedWeights {
     n: usize,
 }
 
+/// An empty `[0, 0]` wide-panel matrix: the starting point for the
+/// `repack_*` packers, which reuse its storage call after call.
+impl Default for PackedWeights {
+    fn default() -> Self {
+        Self {
+            store: PanelStore::Wide(Vec::new()),
+            k: 0,
+            n: 0,
+        }
+    }
+}
+
 impl PackedWeights {
     /// Packs a `[k, n]` row-major weight matrix into wide (`i16`) column
     /// panels.
@@ -139,32 +169,83 @@ impl PackedWeights {
     /// beyond which unsaturated `i32` accumulation could overflow and the
     /// bit-exactness contract with `matmul_i32` would break).
     pub fn pack(weight: &IntTensor<i8>) -> Result<Self> {
-        let (k, n) = Self::checked_dims(weight)?;
-        let panels = n.div_ceil(NR);
+        let mut packed = Self::default();
+        packed.repack_rows(StridedRows::of_matrix(weight)?)?;
+        Ok(packed)
+    }
+
+    /// Re-packs this value as wide panels of `W = src` — source row `kk`
+    /// is weight row `kk`, so `W[kk][c] = src.row(kk)[c]` — reusing the
+    /// panel storage. This packs an activation block read in place, such as
+    /// one attention head's `V_h` columns of the value projection, as the
+    /// right-hand operand of a per-call GEMM.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `src` has more than
+    /// [`MAX_K`] rows.
+    pub fn repack_rows(&mut self, src: StridedRows<'_, i8>) -> Result<()> {
+        let (k, n) = (src.rows, src.cols);
         let k_pairs = k.div_ceil(2);
-        let mut data = vec![[0i16; WIDE_B]; panels * k_pairs];
-        let src = weight.as_slice();
-        for p in 0..panels {
-            let c0 = p * NR;
-            let width = NR.min(n - c0);
-            for (pp, dst) in data[p * k_pairs..(p + 1) * k_pairs].iter_mut().enumerate() {
-                for t in 0..2 {
-                    let kk = 2 * pp + t;
-                    if kk >= k {
-                        break;
-                    }
-                    let row = &src[kk * n + c0..kk * n + c0 + width];
-                    for (j, &s) in row.iter().enumerate() {
+        self.refill_wide(k, n, |data| {
+            for kk in 0..k {
+                let t = kk % 2;
+                for (p, chunk) in src.row(kk).chunks(NR).enumerate() {
+                    let dst = &mut data[p * k_pairs + kk / 2];
+                    for (j, &s) in chunk.iter().enumerate() {
                         dst[2 * j + t] = i16::from(s);
                     }
                 }
             }
-        }
-        Ok(Self {
-            store: PanelStore::Wide(data),
-            k,
-            n,
         })
+    }
+
+    /// Re-packs this value as wide panels of `W = srcᵀ` — source row `c` is
+    /// weight column `c`, so `W[kk][c] = src.row(c)[kk]` — reusing the
+    /// panel storage. This packs one attention head's `K_hᵀ` straight from
+    /// the key projection's rows, with no transposed copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `src` has more than
+    /// [`MAX_K`] columns.
+    pub fn repack_columns(&mut self, src: StridedRows<'_, i8>) -> Result<()> {
+        let (k, n) = (src.cols, src.rows);
+        let k_pairs = k.div_ceil(2);
+        self.refill_wide(k, n, |data| {
+            for c in 0..n {
+                let (p, j) = (c / NR, c % NR);
+                let panel = &mut data[p * k_pairs..(p + 1) * k_pairs];
+                for (dst, pair) in panel.iter_mut().zip(src.row(c).chunks(2)) {
+                    dst[2 * j] = i16::from(pair[0]);
+                    if let Some(&v) = pair.get(1) {
+                        dst[2 * j + 1] = i16::from(v);
+                    }
+                }
+            }
+        })
+    }
+
+    /// Resets the storage to zeroed wide panels for a `[k, n]` matrix
+    /// (keeping the allocation) and lets `fill` write the codes.
+    fn refill_wide(
+        &mut self,
+        k: usize,
+        n: usize,
+        fill: impl FnOnce(&mut [[i16; WIDE_B]]),
+    ) -> Result<()> {
+        Self::checked_depth(k, n)?;
+        let mut data = match std::mem::replace(&mut self.store, PanelStore::Wide(Vec::new())) {
+            PanelStore::Wide(data) => data,
+            PanelStore::Nibble(_) => Vec::new(),
+        };
+        data.clear();
+        data.resize(n.div_ceil(NR) * k.div_ceil(2), [0i16; WIDE_B]);
+        fill(&mut data);
+        self.store = PanelStore::Wide(data);
+        self.k = k;
+        self.n = n;
+        Ok(())
     }
 
     /// Packs a `[k, n]` weight matrix of low-bit codes (each in `[-8, 7]`,
@@ -357,15 +438,171 @@ impl PackedWeights {
     }
 }
 
-/// Reusable packing buffer for the activation side of the GEMM.
+/// Activation code types the GEMM reads as its left-hand operand: signed
+/// `i8` activations, or unsigned `u8` codes such as the softmax's
+/// attention probabilities (`0..=255`). Both widen exactly to the kernels'
+/// `i16` multiply operand.
+pub trait ActCode: Copy + Into<i16> {
+    /// Largest reduction depth for which the unsaturated `i32` sum of this
+    /// operand times `i8` weights cannot overflow.
+    const MAX_DEPTH: usize;
+}
+
+impl ActCode for i8 {
+    /// `k · 128 · 128 ≤ 2³¹ - 1`.
+    const MAX_DEPTH: usize = MAX_K;
+}
+
+impl ActCode for u8 {
+    /// `k · 255 · 128 ≤ 2³¹ - 1` holds for every `k ≤ MAX_K / 2`.
+    const MAX_DEPTH: usize = MAX_K / 2;
+}
+
+/// Checks that `rows` rows of `cols` elements, `stride` apart, fit in a
+/// buffer of `len` elements without overlapping.
+fn check_strided(
+    op: &'static str,
+    len: usize,
+    rows: usize,
+    cols: usize,
+    stride: usize,
+) -> Result<()> {
+    let end = match rows {
+        0 => Some(0),
+        1 => Some(cols),
+        _ if cols > stride => None,
+        _ => (rows - 1)
+            .checked_mul(stride)
+            .and_then(|start| start.checked_add(cols)),
+    };
+    match end {
+        Some(end) if end <= len => Ok(()),
+        _ => Err(TensorError::ShapeMismatch {
+            op,
+            lhs: vec![rows, cols, stride],
+            rhs: vec![len],
+        }),
+    }
+}
+
+/// A read-only `rows × cols` matrix inside a larger row-major buffer: row
+/// `r` is `data[r·stride ..][..cols]`. The GEMM reads its activations
+/// through this view, so one attention head's column block of Q, K or V is
+/// used in place instead of being copied out.
+#[derive(Debug, Clone, Copy)]
+pub struct StridedRows<'a, T> {
+    data: &'a [T],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+}
+
+impl<'a, T> StridedRows<'a, T> {
+    /// Views `rows` rows of `cols` elements starting every `stride`
+    /// elements of `data`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if the rows overlap
+    /// (`cols > stride` with more than one row) or run past `data`.
+    pub fn new(data: &'a [T], rows: usize, cols: usize, stride: usize) -> Result<Self> {
+        check_strided("strided rows", data.len(), rows, cols, stride)?;
+        Ok(Self {
+            data,
+            rows,
+            cols,
+            stride,
+        })
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Elements per row.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Row `r` (`r < rows`).
+    pub fn row(&self, r: usize) -> &'a [T] {
+        &self.data[r * self.stride..r * self.stride + self.cols]
+    }
+}
+
+impl<'a, T: IntElement> StridedRows<'a, T> {
+    /// Views a whole rank-2 tensor.
+    ///
+    /// # Errors
+    ///
+    /// Returns a rank error if `x` is not a matrix.
+    pub fn of_matrix(x: &'a IntTensor<T>) -> Result<Self> {
+        let (rows, cols) = x.as_matrix_dims()?;
+        Self::new(x.as_slice(), rows, cols, cols)
+    }
+}
+
+/// The writable counterpart of [`StridedRows`]: the GEMM stores its
+/// `rows × cols` outputs into a larger row-major buffer, e.g. one attention
+/// head's columns of the context matrix.
+#[derive(Debug)]
+pub struct StridedRowsMut<'a, T> {
+    data: &'a mut [T],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+}
+
+impl<'a, T> StridedRowsMut<'a, T> {
+    /// Views `rows` rows of `cols` elements starting every `stride`
+    /// elements of `data`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`StridedRows::new`].
+    pub fn new(data: &'a mut [T], rows: usize, cols: usize, stride: usize) -> Result<Self> {
+        check_strided("strided output rows", data.len(), rows, cols, stride)?;
+        Ok(Self {
+            data,
+            rows,
+            cols,
+            stride,
+        })
+    }
+
+    /// Row `r` (`r < rows`).
+    fn row_mut(&mut self, r: usize) -> &mut [T] {
+        &mut self.data[r * self.stride..r * self.stride + self.cols]
+    }
+}
+
+/// Reusable buffers for every GEMM of a forward pass.
 ///
-/// One scratch serves every projection of every encoder layer in a forward
-/// pass; reusing it avoids an allocation per GEMM (12 layers × 6 projections
-/// per batch).
+/// One scratch serves every projection and every attention head of every
+/// encoder layer in a forward pass; reusing it avoids an allocation per
+/// GEMM (12 layers × 6 projections per batch, plus two GEMMs per head).
+/// Buffers only grow, so a scratch kept across batches settles at the
+/// largest shapes it has seen and stays allocation-free from then on.
 #[derive(Debug, Default)]
 pub struct GemmScratch {
     /// One `[i16; 2·MR]` row per k-pair: `a_block[pp][2r + t] = X[r0+r][2pp+t]`.
     a_block: Vec<[i16; WIDE_A]>,
+    /// The per-call buffers of [`attention_head_into`].
+    attention: AttentionBuffers,
+}
+
+/// Buffers of one attention head, reused across heads, sequences and layers.
+#[derive(Debug, Default)]
+struct AttentionBuffers {
+    /// `K_hᵀ`, then `V_h`: the right-hand operand packed per call.
+    panel: PackedWeights,
+    /// All-zero bias for the two bias-free requantizations.
+    zero_bias: Vec<i32>,
+    /// `seq × seq` requantized scores.
+    scores: Vec<i8>,
+    /// `seq × seq` probability codes.
+    probs: Vec<u8>,
 }
 
 impl GemmScratch {
@@ -401,25 +638,26 @@ impl GemmScratch {
     pub fn depth_capacity(&self) -> usize {
         self.a_block.capacity() * 2
     }
+}
 
-    /// Packs rows `r0 .. r0+rows` of `x` (row-major, `k` columns) into the
-    /// k-pair-interleaved `[pp][2r + t]` layout, widening to the kernels'
-    /// `i16` operand width and zero-padding missing rows up to [`MR`] and
-    /// the odd-`k` tail.
-    fn pack_rows(&mut self, x: &[i8], k: usize, r0: usize, rows: usize) -> &[[i16; WIDE_A]] {
-        let k_pairs = k.div_ceil(2);
-        self.a_block.clear();
-        self.a_block.resize(k_pairs, [0i16; WIDE_A]);
-        for r in 0..rows {
-            let src = &x[(r0 + r) * k..(r0 + r + 1) * k];
-            for (pair, dst) in src.chunks(2).zip(self.a_block.iter_mut()) {
-                dst[2 * r] = i16::from(pair[0]);
-                if let Some(&v) = pair.get(1) {
-                    dst[2 * r + 1] = i16::from(v);
-                }
+/// Packs rows `r0 .. r0+rows` of `x` into the k-pair-interleaved
+/// `[pp][2r + t]` layout, widening to the kernels' `i16` operand width and
+/// zero-padding missing rows up to [`MR`] and the odd-`k` tail.
+fn pack_rows<T: ActCode>(
+    a_block: &mut Vec<[i16; WIDE_A]>,
+    x: StridedRows<'_, T>,
+    r0: usize,
+    rows: usize,
+) {
+    a_block.clear();
+    a_block.resize(x.cols.div_ceil(2), [0i16; WIDE_A]);
+    for r in 0..rows {
+        for (pair, dst) in x.row(r0 + r).chunks(2).zip(a_block.iter_mut()) {
+            dst[2 * r] = pair[0].into();
+            if let Some(&v) = pair.get(1) {
+                dst[2 * r + 1] = v.into();
             }
         }
-        &self.a_block
     }
 }
 
@@ -428,47 +666,46 @@ impl GemmScratch {
 /// order (`accs[j]` is the accumulator for column `c0 + j`), through the
 /// process-selected micro-kernel. Handing the epilogue a contiguous
 /// segment instead of one element at a time is what lets
-/// [`gemm_i8_requant`] run a SIMD fixup over it.
-fn gemm_drive<F: FnMut(usize, usize, &[i32])>(
-    x: &IntTensor<i8>,
+/// [`gemm_requant_into`] run a SIMD fixup over it. This is the one GEMM
+/// loop: every entry point below is a sink over it.
+fn gemm_drive<T: ActCode, F: FnMut(usize, usize, &[i32])>(
+    x: StridedRows<'_, T>,
     weights: &PackedWeights,
-    scratch: &mut GemmScratch,
+    a_block: &mut Vec<[i16; WIDE_A]>,
     mut sink: F,
-) -> Result<(usize, usize)> {
-    let (m, k) = x.as_matrix_dims()?;
+) -> Result<()> {
+    let (m, k) = (x.rows, x.cols);
     if k != weights.k {
         return Err(TensorError::ShapeMismatch {
-            op: "gemm_i8",
-            lhs: x.dims().to_vec(),
+            op: "gemm",
+            lhs: vec![m, k],
             rhs: vec![weights.k, weights.n],
+        });
+    }
+    if k > T::MAX_DEPTH {
+        return Err(TensorError::ShapeMismatch {
+            op: "gemm (k exceeds the activation operand's depth bound)",
+            lhs: vec![m, k],
+            rhs: vec![T::MAX_DEPTH],
         });
     }
     let n = weights.n;
     let panels = n.div_ceil(NR);
     let k_pairs = k.div_ceil(2);
     let kernel = kernels::selected();
-    let xs = x.as_slice();
     for r0 in (0..m).step_by(MR) {
         let rows = MR.min(m - r0);
-        scratch.pack_rows(xs, k, r0, rows);
+        pack_rows(a_block, x, r0, rows);
         for p in 0..panels {
             let c0 = p * NR;
             let cols = NR.min(n - c0);
             let mut acc = [[0i32; NR]; MR];
             match &weights.store {
                 PanelStore::Wide(data) => {
-                    (kernel.wide)(
-                        &scratch.a_block,
-                        &data[p * k_pairs..(p + 1) * k_pairs],
-                        &mut acc,
-                    );
+                    (kernel.wide)(a_block, &data[p * k_pairs..(p + 1) * k_pairs], &mut acc);
                 }
                 PanelStore::Nibble(data) => {
-                    (kernel.nibble)(
-                        &scratch.a_block,
-                        &data[p * k_pairs..(p + 1) * k_pairs],
-                        &mut acc,
-                    );
+                    (kernel.nibble)(a_block, &data[p * k_pairs..(p + 1) * k_pairs], &mut acc);
                 }
             }
             for (r, row) in acc.iter().enumerate().take(rows) {
@@ -476,13 +713,46 @@ fn gemm_drive<F: FnMut(usize, usize, &[i32])>(
             }
         }
     }
-    Ok((m, n))
+    Ok(())
+}
+
+/// Checks that `out` is `m × n`.
+fn check_out<O>(op: &'static str, out: &StridedRowsMut<'_, O>, m: usize, n: usize) -> Result<()> {
+    if (out.rows, out.cols) != (m, n) {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: vec![out.rows, out.cols],
+            rhs: vec![m, n],
+        });
+    }
+    Ok(())
+}
+
+/// Blocked GEMM writing the raw `i32` accumulators of `x · W` into `out`
+/// (`x.rows() × W.n()`), bit-identical to the naive `i64` reduction for
+/// either activation type (see the module docs for the contract).
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `x`'s width differs from the
+/// packed `k`, `k` exceeds the operand's [`ActCode::MAX_DEPTH`], or `out`
+/// has the wrong shape.
+pub fn gemm_i32_into<T: ActCode>(
+    x: StridedRows<'_, T>,
+    weights: &PackedWeights,
+    scratch: &mut GemmScratch,
+    mut out: StridedRowsMut<'_, i32>,
+) -> Result<()> {
+    check_out("gemm_i32_into (output)", &out, x.rows, weights.n)?;
+    gemm_drive(x, weights, &mut scratch.a_block, |r, c0, accs| {
+        out.row_mut(r)[c0..c0 + accs.len()].copy_from_slice(accs);
+    })
 }
 
 /// Blocked GEMM returning the raw `i32` accumulators,
 /// bit-identical to [`IntTensor::matmul_i32`] (see the module docs for the
 /// contract). Mostly useful for tests and diagnostics — the engine uses the
-/// fused [`gemm_i8_fused`].
+/// fused [`gemm_i8_requant`].
 ///
 /// # Errors
 ///
@@ -493,14 +763,11 @@ pub fn gemm_i8_i32(
     weights: &PackedWeights,
     scratch: &mut GemmScratch,
 ) -> Result<IntTensor<i32>> {
-    let mut out = IntTensor::<i32>::zeros(&[x.as_matrix_dims()?.0, weights.n]);
+    let x = StridedRows::of_matrix(x)?;
     let n = weights.n;
-    {
-        let slice = out.as_mut_slice();
-        gemm_drive(x, weights, scratch, |r, c0, accs| {
-            slice[r * n + c0..r * n + c0 + accs.len()].copy_from_slice(accs);
-        })?;
-    }
+    let mut out = IntTensor::<i32>::zeros(&[x.rows, n]);
+    let view = StridedRowsMut::new(out.as_mut_slice(), x.rows, n, n)?;
+    gemm_i32_into(x, weights, scratch, view)?;
     Ok(out)
 }
 
@@ -519,16 +786,15 @@ pub fn gemm_i8_fused<F: Fn(i32, usize) -> i8>(
     scratch: &mut GemmScratch,
     epilogue: F,
 ) -> Result<IntTensor<i8>> {
-    let mut out = IntTensor::<i8>::zeros(&[x.as_matrix_dims()?.0, weights.n]);
+    let x = StridedRows::of_matrix(x)?;
     let n = weights.n;
-    {
-        let slice = out.as_mut_slice();
-        gemm_drive(x, weights, scratch, |r, c0, accs| {
-            for (j, &acc) in accs.iter().enumerate() {
-                slice[r * n + c0 + j] = epilogue(acc, c0 + j);
-            }
-        })?;
-    }
+    let mut out = IntTensor::<i8>::zeros(&[x.rows, n]);
+    let slice = out.as_mut_slice();
+    gemm_drive(x, weights, &mut scratch.a_block, |r, c0, accs| {
+        for (j, &acc) in accs.iter().enumerate() {
+            slice[r * n + c0 + j] = epilogue(acc, c0 + j);
+        }
+    })?;
     Ok(out)
 }
 
@@ -571,18 +837,65 @@ impl RequantParams {
     }
 }
 
-/// Blocked GEMM with the requantization epilogue fused and SIMD-accelerated:
-/// every accumulator row segment gets `+ bias[col]`, the fixed-point
-/// multiply/shift/round and the symmetric clamp applied by the
-/// process-selected requantize kernel — bit-identical to applying
-/// `Requantizer::apply(acc + bias).clamp(-127, 127)` per element (the
-/// cross-kernel property tests pin this).
+/// Blocked GEMM with the requantization epilogue fused and SIMD-accelerated,
+/// writing into `out` (`x.rows() × W.n()`): every accumulator row segment
+/// gets `+ bias[col]`, the fixed-point multiply/shift/round and the
+/// symmetric clamp applied by the process-selected requantize kernel —
+/// bit-identical to applying `Requantizer::apply(acc + bias).clamp(-127, 127)`
+/// per element (the cross-kernel property tests pin this). Parameters
+/// outside [`RequantParams::simd_exact`] take the 128-bit scalar reference.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `bias` is not one entry per
-/// output column or `x`'s width differs from the packed `k`, or a rank
-/// error for non-matrix inputs.
+/// output column, `x`'s width differs from the packed `k`, `k` exceeds the
+/// operand's [`ActCode::MAX_DEPTH`], or `out` has the wrong shape.
+pub fn gemm_requant_into<T: ActCode>(
+    x: StridedRows<'_, T>,
+    weights: &PackedWeights,
+    bias: &[i32],
+    params: RequantParams,
+    scratch: &mut GemmScratch,
+    out: StridedRowsMut<'_, i8>,
+) -> Result<()> {
+    requant_drive(x, weights, bias, params, &mut scratch.a_block, out)
+}
+
+/// [`gemm_requant_into`] over an explicit packing buffer, so
+/// [`attention_head_into`] can run it while holding its other buffers.
+fn requant_drive<T: ActCode>(
+    x: StridedRows<'_, T>,
+    weights: &PackedWeights,
+    bias: &[i32],
+    params: RequantParams,
+    a_block: &mut Vec<[i16; WIDE_A]>,
+    mut out: StridedRowsMut<'_, i8>,
+) -> Result<()> {
+    if bias.len() != weights.n {
+        return Err(TensorError::ShapeMismatch {
+            op: "gemm_requant (bias length)",
+            lhs: vec![bias.len()],
+            rhs: vec![weights.n],
+        });
+    }
+    check_out("gemm_requant (output)", &out, x.rows, weights.n)?;
+    let kernel: kernels::RequantKernel = if params.simd_exact() {
+        kernels::selected().requant
+    } else {
+        kernels::scalar::requant_row
+    };
+    gemm_drive(x, weights, a_block, |r, c0, accs| {
+        let end = c0 + accs.len();
+        kernel(accs, &bias[c0..end], params, &mut out.row_mut(r)[c0..end]);
+    })
+}
+
+/// [`gemm_requant_into`] over a whole `i8` matrix, returning a new tensor —
+/// the fused projection GEMM of every integer linear layer.
+///
+/// # Errors
+///
+/// As for [`gemm_requant_into`], plus a rank error for non-matrix inputs.
 pub fn gemm_i8_requant(
     x: &IntTensor<i8>,
     weights: &PackedWeights,
@@ -590,32 +903,87 @@ pub fn gemm_i8_requant(
     params: RequantParams,
     scratch: &mut GemmScratch,
 ) -> Result<IntTensor<i8>> {
-    if bias.len() != weights.n {
+    let x = StridedRows::of_matrix(x)?;
+    let n = weights.n;
+    let mut out = IntTensor::<i8>::zeros(&[x.rows, n]);
+    let view = StridedRowsMut::new(out.as_mut_slice(), x.rows, n, n)?;
+    gemm_requant_into(x, weights, bias, params, scratch, view)?;
+    Ok(out)
+}
+
+/// One head of integer scaled dot-product attention, with both matrix
+/// products on the packed GEMM kernels:
+///
+/// ```text
+/// scores  = requant_score(Q_h · K_hᵀ)          i8,  seq × seq
+/// probs   = softmax_row(scores), row by row     u8,  seq × seq
+/// out     = requant_context(probs · V_h)        i8,  seq × head_dim
+/// ```
+///
+/// `K_hᵀ` is packed straight from `k`'s rows and `V_h` from `v`'s rows
+/// (strided views, no block copies); neither requantization has a bias.
+/// The score, probability and panel buffers live in `scratch`, so a
+/// scratch reused across heads and layers makes this allocation-free.
+/// Bit-identical to the naive loop — exact `i32` accumulation, then the
+/// same per-element requantization (see the module docs).
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `q`, `k` and `v` do not all
+/// have `seq` rows, `q` and `k` differ in width, `out` is not
+/// `seq × v.cols()`, or a depth bound is exceeded (`head_dim >`
+/// [`MAX_K`], or `seq > MAX_K / 2` for the `u8` probabilities).
+#[allow(clippy::too_many_arguments)]
+pub fn attention_head_into<F: FnMut(&[i8], &mut [u8])>(
+    q: StridedRows<'_, i8>,
+    k: StridedRows<'_, i8>,
+    v: StridedRows<'_, i8>,
+    score: RequantParams,
+    mut softmax_row: F,
+    context: RequantParams,
+    scratch: &mut GemmScratch,
+    out: StridedRowsMut<'_, i8>,
+) -> Result<()> {
+    let seq = q.rows;
+    if k.rows != seq || v.rows != seq || k.cols != q.cols {
         return Err(TensorError::ShapeMismatch {
-            op: "gemm_i8_requant (bias length)",
-            lhs: vec![bias.len()],
-            rhs: vec![weights.n],
+            op: "attention_head (q/k/v)",
+            lhs: vec![q.rows, q.cols, k.rows, k.cols],
+            rhs: vec![v.rows, v.cols],
         });
     }
-    let kernel: kernels::RequantKernel = if params.simd_exact() {
-        kernels::selected().requant
-    } else {
-        kernels::scalar::requant_row
-    };
-    let mut out = IntTensor::<i8>::zeros(&[x.as_matrix_dims()?.0, weights.n]);
-    let n = weights.n;
-    {
-        let slice = out.as_mut_slice();
-        gemm_drive(x, weights, scratch, |r, c0, accs| {
-            kernel(
-                accs,
-                &bias[c0..c0 + accs.len()],
-                params,
-                &mut slice[r * n + c0..r * n + c0 + accs.len()],
-            );
-        })?;
+    check_out("attention_head (output)", &out, seq, v.cols)?;
+    if seq == 0 {
+        return Ok(());
     }
-    Ok(out)
+    let GemmScratch { a_block, attention } = scratch;
+    let AttentionBuffers {
+        panel,
+        zero_bias,
+        scores,
+        probs,
+    } = attention;
+    let (scores, probs) = (grown(scores, seq * seq), grown(probs, seq * seq));
+    let zero_bias = grown(zero_bias, seq.max(v.cols));
+
+    panel.repack_columns(k)?;
+    let score_out = StridedRowsMut::new(&mut scores[..], seq, seq, seq)?;
+    requant_drive(q, panel, &zero_bias[..seq], score, a_block, score_out)?;
+    for (s, p) in scores.chunks_exact(seq).zip(probs.chunks_exact_mut(seq)) {
+        softmax_row(s, p);
+    }
+    panel.repack_rows(v)?;
+    let probs = StridedRows::new(&probs[..], seq, seq, seq)?;
+    requant_drive(probs, panel, &zero_bias[..v.cols], context, a_block, out)
+}
+
+/// The first `len` elements of `buf`, growing it with zeros if it is
+/// shorter. Buffers never shrink, so reuse stops allocating.
+fn grown<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+    &mut buf[..len]
 }
 
 #[cfg(test)]
@@ -845,6 +1213,43 @@ mod tests {
         };
         let err = gemm_i8_requant(&x, &packed, &[0], params, &mut GemmScratch::new());
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn strided_views_reject_overlap_and_overrun() {
+        let data = [0i8; 10];
+        assert!(StridedRows::new(&data, 3, 2, 4).is_ok()); // ends at 2·4 + 2 = 10
+        assert!(StridedRows::new(&data, 3, 3, 4).is_err()); // ends at 11 > 10
+        assert!(StridedRows::new(&data, 2, 5, 4).is_err()); // rows overlap
+        assert!(StridedRows::new(&data, 1, 10, 0).is_ok()); // one row needs no stride
+        assert!(StridedRows::new(&data, 1, 11, 11).is_err());
+        assert!(StridedRows::new(&data, 0, 99, 0).is_ok());
+        assert!(StridedRows::new(&data, usize::MAX, 1, usize::MAX).is_err());
+        let mut out = [0i32; 6];
+        assert!(StridedRowsMut::new(&mut out, 2, 2, 4).is_ok());
+        assert!(StridedRowsMut::new(&mut out, 2, 3, 4).is_err());
+    }
+
+    #[test]
+    fn attention_head_rejects_inconsistent_shapes() {
+        let codes = [1i8; 24];
+        let view = |rows, cols| StridedRows::new(&codes, rows, cols, cols).unwrap();
+        let params = RequantParams {
+            multiplier: 1 << 30,
+            shift: 30,
+            clamp: 127,
+        };
+        let mut scratch = GemmScratch::new();
+        let mut out = [0i8; 24];
+        let mut run = |q, k, v, rows, cols| {
+            let out = StridedRowsMut::new(&mut out, rows, cols, cols).unwrap();
+            attention_head_into(q, k, v, params, |_, _| {}, params, &mut scratch, out)
+        };
+        assert!(run(view(3, 4), view(3, 4), view(3, 2), 3, 2).is_ok());
+        assert!(run(view(3, 4), view(2, 4), view(3, 2), 3, 2).is_err()); // K rows
+        assert!(run(view(3, 4), view(3, 3), view(3, 2), 3, 2).is_err()); // Q/K width
+        assert!(run(view(3, 4), view(3, 4), view(3, 2), 3, 3).is_err()); // output
+        assert!(run(view(0, 4), view(0, 4), view(0, 2), 0, 2).is_ok());
     }
 
     #[test]

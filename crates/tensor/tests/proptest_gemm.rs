@@ -3,7 +3,9 @@
 //! fused outputs, across random shapes including non-multiple-of-block
 //! dimensions, empty matrices and int4-range weights — and, since the SIMD
 //! dispatch landed, across **every kernel available on this host**
-//! (scalar/sse2/avx2/neon × wide/int4-nibble panels).
+//! (scalar/sse2/avx2/neon × wide/int4-nibble panels), for both activation
+//! operand types (`i8` codes and the `u8` probability codes attention
+//! feeds in) read and written through strided row views.
 //!
 //! Kernel selection is process-global, so tests that force a kernel
 //! serialise on [`kernel_lock`] and restore the auto-detected default
@@ -13,7 +15,8 @@
 
 use fqbert_tensor::gemm::kernels::{self, KernelKind};
 use fqbert_tensor::gemm::{
-    gemm_i8_fused, gemm_i8_i32, gemm_i8_requant, GemmScratch, PackedWeights, RequantParams, MR, NR,
+    gemm_i32_into, gemm_i8_fused, gemm_i8_i32, gemm_i8_requant, gemm_requant_into, ActCode,
+    GemmScratch, PackedWeights, RequantParams, StridedRows, StridedRowsMut, MAX_K, MR, NR,
 };
 use fqbert_tensor::{pack4, IntTensor};
 use proptest::prelude::*;
@@ -36,6 +39,79 @@ fn i4() -> impl Strategy<Value = i8> {
 
 fn i2() -> impl Strategy<Value = i8> {
     -2i8..=1
+}
+
+/// `rows × cols` codes cycled from `seed`, laid out `stride ≥ cols` apart
+/// with `pad` filler codes in every gap, so a strided view that reads past
+/// its columns picks up wrong values.
+fn strided_codes<T: Copy>(seed: &[T], pad: T, rows: usize, cols: usize, stride: usize) -> Vec<T> {
+    let mut data = vec![pad; rows * stride];
+    for r in 0..rows {
+        for c in 0..cols {
+            data[r * stride + c] = seed[(r * cols + c) % seed.len()];
+        }
+    }
+    data
+}
+
+/// The naive `i64` reduction of `x · w` over a strided activation view.
+fn naive_i32<T: Copy + Into<i16>>(x: &StridedRows<'_, T>, w: &IntTensor<i8>) -> Vec<i32> {
+    let n = w.dims()[1];
+    let mut out = Vec::with_capacity(x.rows() * n);
+    for r in 0..x.rows() {
+        for c in 0..n {
+            let acc: i64 = x
+                .row(r)
+                .iter()
+                .enumerate()
+                .map(|(kk, &a)| i64::from(a.into()) * i64::from(w.row(kk)[c]))
+                .sum();
+            out.push(i32::try_from(acc).expect("exact sums fit i32"));
+        }
+    }
+    out
+}
+
+/// Runs [`gemm_i32_into`] into an output with `out_gap` sentinel elements
+/// after every row and asserts the naive sums land in the block while the
+/// gaps stay untouched.
+fn assert_strided_i32<T: ActCode>(
+    x: StridedRows<'_, T>,
+    packed: &PackedWeights,
+    w: &IntTensor<i8>,
+    out_gap: usize,
+    scratch: &mut GemmScratch,
+) {
+    let (m, n) = (x.rows(), packed.n());
+    let stride = n + out_gap;
+    let mut out = vec![-7i32; m * stride];
+    let view = StridedRowsMut::new(&mut out, m, n, stride).expect("out view");
+    gemm_i32_into(x, packed, scratch, view).expect("gemm");
+    let what = (
+        kernels::selected().name,
+        packed.is_nibble(),
+        std::any::type_name::<T>(),
+    );
+    assert_eq!(
+        unstride(&out, m, n, stride),
+        naive_i32(&x, w),
+        "diverges: {what:?}"
+    );
+    for r in 0..m {
+        assert!(
+            out[r * stride + n..(r + 1) * stride]
+                .iter()
+                .all(|&v| v == -7),
+            "wrote into a row gap: {what:?}"
+        );
+    }
+}
+
+/// Reads the `rows × cols` block of a strided output buffer.
+fn unstride<T: Copy>(data: &[T], rows: usize, cols: usize, stride: usize) -> Vec<T> {
+    (0..rows)
+        .flat_map(|r| data[r * stride..r * stride + cols].iter().copied())
+        .collect()
 }
 
 fn build(seed: &[i8], rows: usize, cols: usize) -> IntTensor<i8> {
@@ -122,6 +198,103 @@ proptest! {
             prop_assert_eq!(&got4, &naive4, "int4 nibble panels diverge on {}", name);
             let got2 = gemm_i8_i32(&x, &nib2, &mut scratch).expect("nibble w2 gemm");
             prop_assert_eq!(&got2, &naive2, "int2 nibble panels diverge on {}", name);
+        }
+        kernels::force(kernels::best_available());
+    }
+
+    // The same property for the other operand shapes the driver accepts:
+    // `i8` and `u8` activations (the full `0..=255` probability range) read
+    // through strided views with a gap after every row, accumulators
+    // written through a strided output view, over wide and nibble panels.
+    #[test]
+    fn every_kernel_is_exact_for_u8_and_strided_operands(
+        m in 0usize..18,
+        k in 0usize..80,
+        n in 0usize..70,
+        x_gap in 0usize..5,
+        out_gap in 0usize..5,
+        seed_x in proptest::collection::vec(i8_full(), 1..64),
+        seed_p in proptest::collection::vec(0u8..=255, 1..64),
+        seed_w8 in proptest::collection::vec(i8_full(), 1..64),
+        seed_w4 in proptest::collection::vec(i4(), 1..64),
+    ) {
+        let _guard = kernel_lock();
+        let w8 = build(&seed_w8, k, n);
+        let w4 = build(&seed_w4, k, n);
+        let panels = [
+            (PackedWeights::pack(&w8).expect("pack wide"), &w8),
+            (PackedWeights::pack_nibble(&w4).expect("pack nibble"), &w4),
+        ];
+        let x_stride = k + x_gap;
+        let x_i8 = strided_codes(&seed_x, 99, m, k, x_stride);
+        let x_u8 = strided_codes(&seed_p, 201, m, k, x_stride);
+        let x_i8 = StridedRows::new(&x_i8, m, k, x_stride).expect("i8 view");
+        let x_u8 = StridedRows::new(&x_u8, m, k, x_stride).expect("u8 view");
+        let mut scratch = GemmScratch::new();
+        for kind in kernels::available() {
+            kernels::force(kind);
+            for (packed, w) in &panels {
+                assert_strided_i32(x_i8, packed, w, out_gap, &mut scratch);
+                assert_strided_i32(x_u8, packed, w, out_gap, &mut scratch);
+            }
+        }
+        kernels::force(kernels::best_available());
+    }
+
+    // Panels packed from strided rows — `W = src` and `W = srcᵀ` — equal
+    // the panels of the copied-out matrix, and the fused requantize GEMM
+    // over a `u8` operand writes exactly the scalar reference's codes into
+    // a strided destination.
+    #[test]
+    fn strided_panels_and_u8_requant_match_reference(
+        rows in 0usize..40,
+        cols in 0usize..40,
+        gap in 0usize..4,
+        m in 1usize..9,
+        seed in proptest::collection::vec(i8_full(), 1..64),
+        seed_p in proptest::collection::vec(0u8..=255, 1..64),
+        multiplier in 0i64..=(1i64 << 30),
+        shift in 0i32..=40,
+    ) {
+        let _guard = kernel_lock();
+        let stride = cols + gap;
+        let data = strided_codes(&seed, -3, rows, cols, stride);
+        let src = StridedRows::new(&data, rows, cols, stride).expect("view");
+        let copy = build(&seed, rows, cols);
+        let transposed = IntTensor::from_vec(
+            (0..cols * rows).map(|i| copy.row(i % rows)[i / rows]).collect(),
+            &[cols, rows],
+        )
+        .expect("transpose");
+        let mut as_rows = PackedWeights::default();
+        as_rows.repack_rows(src).expect("repack rows");
+        prop_assert_eq!(&as_rows, &PackedWeights::pack(&copy).expect("pack"));
+        let mut as_columns = PackedWeights::pack_nibble(&build(&[1], 2, 2)).expect("nibble");
+        as_columns.repack_columns(src).expect("repack columns");
+        prop_assert_eq!(&as_columns, &PackedWeights::pack(&transposed).expect("pack ᵀ"));
+
+        // probs (m × rows, u8) · W (rows × cols), requantized.
+        let params = RequantParams { multiplier, shift, clamp: 127 };
+        let probs = strided_codes(&seed_p, 0, m, rows, rows);
+        let probs = StridedRows::new(&probs, m, rows, rows).expect("probs");
+        let bias = vec![0i32; cols];
+        let mut expected = vec![0i8; m * cols];
+        let acc = naive_i32(&probs, &copy);
+        for r in 0..m {
+            kernels::scalar::requant_row(
+                &acc[r * cols..(r + 1) * cols],
+                &bias,
+                params,
+                &mut expected[r * cols..(r + 1) * cols],
+            );
+        }
+        let mut scratch = GemmScratch::new();
+        for kind in kernels::available() {
+            kernels::force(kind);
+            let mut out = vec![55i8; m * stride];
+            let view = StridedRowsMut::new(&mut out, m, cols, stride).expect("out view");
+            gemm_requant_into(probs, &as_rows, &bias, params, &mut scratch, view).expect("gemm");
+            prop_assert_eq!(unstride(&out, m, cols, stride), expected.clone(), "{}", kind.name());
         }
         kernels::force(kernels::best_available());
     }
@@ -369,4 +542,52 @@ fn expected_kernels_are_available() {
     if cfg!(target_arch = "x86_64") {
         assert!(available.contains(&KernelKind::Sse2));
     }
+}
+
+/// A `u8` operand may add up to `255 · 128` per step, so its depth bound is
+/// half of `MAX_K`: one step past it is rejected before any accumulation,
+/// while `i8` activations of the same depth are accepted.
+#[test]
+fn u8_operand_depth_bound_rejects_half_max_k_plus_one() {
+    let k = MAX_K / 2 + 1;
+    let w = IntTensor::<i8>::zeros(&[k, 1]);
+    let packed = PackedWeights::pack(&w).expect("pack");
+    let mut scratch = GemmScratch::new();
+    let mut out = [0i32];
+    let probs = vec![255u8; k];
+    let view = StridedRowsMut::new(&mut out, 1, 1, 1).expect("out");
+    let err = gemm_i32_into(
+        StridedRows::new(&probs, 1, k, k).expect("u8"),
+        &packed,
+        &mut scratch,
+        view,
+    );
+    assert!(
+        err.is_err(),
+        "u8 operand at k = MAX_K / 2 + 1 must be rejected"
+    );
+    let codes = vec![1i8; k];
+    let view = StridedRowsMut::new(&mut out, 1, 1, 1).expect("out");
+    gemm_i32_into(
+        StridedRows::new(&codes, 1, k, k).expect("i8"),
+        &packed,
+        &mut scratch,
+        view,
+    )
+    .expect("i8 operand at the same depth");
+
+    // At the bound itself the worst-case u8 sum is still exact.
+    let k = MAX_K / 2;
+    let w = IntTensor::from_vec(vec![-128i8; k], &[k, 1]).expect("w");
+    let packed = PackedWeights::pack(&w).expect("pack");
+    let probs = vec![255u8; k];
+    let view = StridedRowsMut::new(&mut out, 1, 1, 1).expect("out");
+    gemm_i32_into(
+        StridedRows::new(&probs, 1, k, k).expect("u8"),
+        &packed,
+        &mut scratch,
+        view,
+    )
+    .expect("u8 operand at the bound");
+    assert_eq!(i64::from(out[0]), -255 * 128 * k as i64);
 }
